@@ -38,7 +38,7 @@
 use super::Allocator;
 use crate::error::CoreError;
 use crate::Result;
-use mrls_lp::{LinearProgram, LpOutcome, Relation};
+use mrls_lp::{LinearProgram, LpOutcome, Relation, Solution};
 use mrls_model::{AllocationDecision, Instance, JobProfile};
 
 /// The fractional solution of the LP relaxation.
@@ -56,6 +56,63 @@ pub struct FractionalSolution {
     pub critical_path: f64,
     /// The fractional average total area.
     pub total_area: f64,
+}
+
+/// The LP relaxation of one instance, as built by
+/// [`LpRoundingAllocator::relaxation_lp`].
+#[derive(Debug, Clone)]
+pub struct RelaxationLp {
+    /// The linear program: `x_{j,k}` variables job by job, then `f_j`, then
+    /// `L` (the objective).
+    pub lp: LinearProgram,
+    /// Index of `x_{j,0}` per job.
+    offsets: Vec<usize>,
+    /// Index of `f_0`.
+    f_base: usize,
+}
+
+impl RelaxationLp {
+    /// Reads a solution of [`RelaxationLp::lp`] back as per-job fractional
+    /// weights, times and areas.
+    pub fn fractional(&self, profiles: &[JobProfile], solution: &Solution) -> FractionalSolution {
+        let n = profiles.len();
+        let mut weights = Vec::with_capacity(n);
+        let mut fractional_times = Vec::with_capacity(n);
+        let mut fractional_areas = Vec::with_capacity(n);
+        let mut total_area = 0.0;
+        for (j, profile) in profiles.iter().enumerate() {
+            let w: Vec<f64> = (0..profile.len())
+                .map(|k| solution.x[self.offsets[j] + k].max(0.0))
+                .collect();
+            let t_bar: f64 = profile
+                .points()
+                .iter()
+                .zip(w.iter())
+                .map(|(p, &x)| p.time * x)
+                .sum();
+            let a_bar: f64 = profile
+                .points()
+                .iter()
+                .zip(w.iter())
+                .map(|(p, &x)| p.area * x)
+                .sum();
+            total_area += a_bar;
+            weights.push(w);
+            fractional_times.push(t_bar);
+            fractional_areas.push(a_bar);
+        }
+        let critical_path = (0..n)
+            .map(|j| solution.x[self.f_base + j])
+            .fold(0.0f64, f64::max);
+        FractionalSolution {
+            weights,
+            fractional_times,
+            fractional_areas,
+            objective: solution.objective,
+            critical_path,
+            total_area,
+        }
+    }
 }
 
 /// The LP-relaxation + rounding allocator of the paper (general DAGs).
@@ -82,22 +139,10 @@ impl LpRoundingAllocator {
         self.rho
     }
 
-    /// Builds and solves the LP relaxation.
-    pub fn solve_relaxation(
-        instance: &Instance,
-        profiles: &[JobProfile],
-    ) -> Result<FractionalSolution> {
+    /// Builds the LP relaxation of the module docs for `instance`, together
+    /// with the variable layout needed to read its solution back.
+    pub fn relaxation_lp(instance: &Instance, profiles: &[JobProfile]) -> Result<RelaxationLp> {
         let n = instance.num_jobs();
-        if n == 0 {
-            return Ok(FractionalSolution {
-                weights: vec![],
-                fractional_times: vec![],
-                fractional_areas: vec![],
-                objective: 0.0,
-                critical_path: 0.0,
-                total_area: 0.0,
-            });
-        }
         // Variable layout: x variables per job (offsets), then f_0..f_{n-1},
         // then L.
         let mut offsets = Vec::with_capacity(n);
@@ -153,7 +198,30 @@ impl LpRoundingAllocator {
         }
         lp.add_constraint(area_row, Relation::Ge, 0.0)?;
 
-        let solution = match lp.solve()? {
+        Ok(RelaxationLp {
+            lp,
+            offsets,
+            f_base,
+        })
+    }
+
+    /// Builds and solves the LP relaxation.
+    pub fn solve_relaxation(
+        instance: &Instance,
+        profiles: &[JobProfile],
+    ) -> Result<FractionalSolution> {
+        if instance.num_jobs() == 0 {
+            return Ok(FractionalSolution {
+                weights: vec![],
+                fractional_times: vec![],
+                fractional_areas: vec![],
+                objective: 0.0,
+                critical_path: 0.0,
+                total_area: 0.0,
+            });
+        }
+        let relaxation = Self::relaxation_lp(instance, profiles)?;
+        let solution = match relaxation.lp.solve()? {
             LpOutcome::Optimal(s) => s,
             LpOutcome::Infeasible => {
                 return Err(CoreError::LpFailure(
@@ -166,43 +234,7 @@ impl LpRoundingAllocator {
                 ))
             }
         };
-
-        let mut weights = Vec::with_capacity(n);
-        let mut fractional_times = Vec::with_capacity(n);
-        let mut fractional_areas = Vec::with_capacity(n);
-        let mut total_area = 0.0;
-        for (j, profile) in profiles.iter().enumerate() {
-            let w: Vec<f64> = (0..profile.len())
-                .map(|k| solution.x[offsets[j] + k].max(0.0))
-                .collect();
-            let t_bar: f64 = profile
-                .points()
-                .iter()
-                .zip(w.iter())
-                .map(|(p, &x)| p.time * x)
-                .sum();
-            let a_bar: f64 = profile
-                .points()
-                .iter()
-                .zip(w.iter())
-                .map(|(p, &x)| p.area * x)
-                .sum();
-            total_area += a_bar;
-            weights.push(w);
-            fractional_times.push(t_bar);
-            fractional_areas.push(a_bar);
-        }
-        let critical_path = (0..n)
-            .map(|j| solution.x[f_base + j])
-            .fold(0.0f64, f64::max);
-        Ok(FractionalSolution {
-            weights,
-            fractional_times,
-            fractional_areas,
-            objective: solution.objective,
-            critical_path,
-            total_area,
-        })
+        Ok(relaxation.fractional(profiles, &solution))
     }
 
     /// Rounds the fractional solution into an integral initial allocation

@@ -26,7 +26,7 @@ pub mod sp_fptas;
 pub use adjust::{adjust_allocation, AdjustmentOutcome};
 pub use heuristics::HeuristicAllocator;
 pub use independent::IndependentOptimalAllocator;
-pub use lp_rounding::{FractionalSolution, LpRoundingAllocator};
+pub use lp_rounding::{FractionalSolution, LpRoundingAllocator, RelaxationLp};
 pub use sp_fptas::SpFptasAllocator;
 
 use crate::Result;

@@ -17,7 +17,19 @@
 //! * unboundedness detection.
 //!
 //! The LPs built by the scheduler have a few hundred rows and a few thousand
-//! columns at most, which a dense tableau handles comfortably.
+//! columns at most, which a dense tableau handles comfortably. The
+//! production path ([`LinearProgram::solve`]) keeps one dense row per
+//! constraint but prices row by row over the rows with a non-zero basic cost,
+//! tracks basis membership in `O(1)`, updates the other rows only at the
+//! pivot row's non-zeros and drops the artificial columns once phase 1 ends
+//! (see [`simplex`]).
+//!
+//! [`LinearProgram::solve_reference`] keeps the original dense tableau
+//! solver verbatim as an executable specification. The fast path makes the
+//! same entering and leaving choice at every pivot, so both return the same
+//! outcome with `objective` and `x` equal as `f64`; `tests/differential.rs`
+//! pins this on several LP families, and `mrls-core`'s
+//! `tests/lp_differential.rs` on the scheduler's own relaxations.
 //!
 //! ## Example
 //!
@@ -42,7 +54,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod problem;
+mod reference;
 pub mod simplex;
 
 pub use problem::{Constraint, LinearProgram, LpError, Relation};
-pub use simplex::{LpOutcome, Solution};
+pub use simplex::{LpOutcome, Solution, SolveStats};

@@ -86,10 +86,11 @@ impl LinearProgram {
         }
     }
 
-    /// Creates a maximisation problem by negating the objective; the reported
-    /// optimal objective is negated back by [`crate::Solution::objective`]
-    /// users — i.e. callers should negate. Provided mostly for tests; the
-    /// scheduler only minimises.
+    /// Creates a maximisation problem by negating the objective: the solver
+    /// minimises `−cᵀx`, so [`crate::Solution::objective`] is the minimised,
+    /// negated value (`−5` for `max x₀ s.t. x₀ ≤ 5`) and callers negate it to
+    /// get the maximum. Provided mostly for tests; the scheduler only
+    /// minimises.
     pub fn maximize(num_vars: usize, objective: Vec<f64>) -> Self {
         LinearProgram {
             num_vars,

@@ -1,10 +1,33 @@
 //! Dense two-phase primal simplex.
 //!
-//! The implementation favours robustness over raw speed: the reduced-cost row
-//! is recomputed from the cost vector and the current basis at every
-//! iteration (`O(m·n)`, the same order as a pivot), Dantzig pricing is used
-//! while progress is being made and the solver falls back to Bland's rule
-//! after a streak of degenerate pivots, which guarantees termination.
+//! Dantzig pricing is used while progress is being made and the solver falls
+//! back to Bland's rule after a streak of degenerate pivots, which guarantees
+//! termination.
+//!
+//! The tableau keeps one dense row per constraint, but each iteration only
+//! pays for what it reads:
+//!
+//! * **Row-major pricing.** Reduced costs `r_j = c_j − Σ_i c_{B(i)}·a_{i,j}`
+//!   are accumulated row by row into a reusable buffer, skipping every row
+//!   whose basic variable has zero cost. In phase 1 the rows left are those
+//!   with an artificial in the basis; in phase 2 of the scheduler's
+//!   relaxation (objective `L` alone) a single row.
+//! * **`O(1)` basis membership** through an `is_basic` flag per column.
+//! * **Sparse pivot updates.** The normalised pivot row's non-zero columns
+//!   are collected once and the other rows are updated only there. Once a
+//!   quarter or more of the pivot row is non-zero, a straight pass over the
+//!   whole row (which vectorises) is faster than the indexed scatter and is
+//!   used instead.
+//! * **Artificial columns retire with phase 1.** Nothing reads them after
+//!   the feasibility check, so the rows are truncated to the structural and
+//!   slack columns (plus the right-hand side) before phase 2.
+//!
+//! Every entering and leaving choice is the one the retained dense solver
+//! ([`LinearProgram::solve_reference`]) makes: per column the reduced cost is
+//! summed over rows in ascending order, and the skipped terms are products
+//! with an exact zero, which change at most the sign of a zero — invisible
+//! to every comparison the solver makes. `tests/differential.rs` pins
+//! [`LinearProgram::solve`] equal to the reference.
 
 use crate::problem::{LinearProgram, LpError, Relation};
 
@@ -15,6 +38,9 @@ const TOL: f64 = 1e-9;
 const FEAS_TOL: f64 = 1e-7;
 /// Number of consecutive degenerate pivots after which Bland's rule kicks in.
 const DEGENERACY_STREAK: usize = 40;
+/// A pivot row with at least `1/DENSE_PIVOT_FRACTION` of its entries
+/// non-zero updates the other rows densely rather than at its non-zeros.
+const DENSE_PIVOT_FRACTION: usize = 4;
 
 /// A primal solution returned by the solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,11 +72,36 @@ impl LpOutcome {
     }
 }
 
+/// Pivot counts of one [`LinearProgram::solve_with_stats`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveStats {
+    /// Pivots of phase 1, including those evicting zero-valued artificials
+    /// from the basis.
+    pub phase1_pivots: usize,
+    /// Pivots of phase 2.
+    pub phase2_pivots: usize,
+    /// Pivots, in either phase, whose entering column Bland's rule chose
+    /// after a streak of degenerate pivots.
+    pub bland_pivots: usize,
+}
+
 impl LinearProgram {
     /// Solves the linear program with the two-phase simplex method.
     pub fn solve(&self) -> Result<LpOutcome, LpError> {
+        self.solve_with_stats().map(|(outcome, _)| outcome)
+    }
+
+    /// [`LinearProgram::solve`], also reporting how many pivots it took.
+    pub fn solve_with_stats(&self) -> Result<(LpOutcome, SolveStats), LpError> {
         self.validate()?;
-        Solver::build(self).run(self)
+        let mut solver = Solver::build(self);
+        let outcome = solver.run(self)?;
+        let stats = SolveStats {
+            phase1_pivots: solver.phase1_pivots,
+            phase2_pivots: solver.pivots - solver.phase1_pivots,
+            bland_pivots: solver.bland_pivots,
+        };
+        Ok((outcome, stats))
     }
 }
 
@@ -65,9 +116,24 @@ struct Solver {
     n_struct: usize,
     n_total: usize,
     art_start: usize,
-    /// `m` rows of length `n_total + 1` (right-hand side last).
+    /// `m` rows; columns `0..rhs_col` are coefficients, `rhs_col` holds the
+    /// right-hand side. `rhs_col` is `n_total` during phase 1 and shrinks to
+    /// `art_start` when the artificial columns are dropped.
     rows: Vec<Vec<f64>>,
+    rhs_col: usize,
     basis: Vec<usize>,
+    /// `is_basic[j]` ⇔ column `j` appears in `basis`.
+    is_basic: Vec<bool>,
+    /// Pricing scratch: the reduced cost of every priced column.
+    reduced: Vec<f64>,
+    /// Pivot scratch: the non-zero columns of the normalised pivot row,
+    /// right-hand side included, pivot column excluded.
+    pivot_nz: Vec<usize>,
+    /// Pivots so far, and those of them Bland's rule chose.
+    pivots: usize,
+    bland_pivots: usize,
+    /// `pivots` when phase 1 (eviction included) ended.
+    phase1_pivots: usize,
 }
 
 impl Solver {
@@ -75,30 +141,16 @@ impl Solver {
         let m = lp.constraints.len();
         let n_struct = lp.num_vars;
 
-        // Dense structural coefficients with rhs normalised to be >= 0.
-        let mut dense: Vec<Vec<f64>> = Vec::with_capacity(m);
-        let mut rhs: Vec<f64> = Vec::with_capacity(m);
-        let mut relations: Vec<Relation> = Vec::with_capacity(m);
-        for c in &lp.constraints {
-            let mut row = vec![0.0f64; n_struct];
-            for &(i, a) in &c.coefficients {
-                row[i] += a;
-            }
-            let (row, b, rel) = if c.rhs < 0.0 {
-                let flipped = match c.relation {
-                    Relation::Le => Relation::Ge,
-                    Relation::Ge => Relation::Le,
-                    Relation::Eq => Relation::Eq,
-                };
-                (row.iter().map(|v| -v).collect(), -c.rhs, flipped)
-            } else {
-                (row, c.rhs, c.relation)
-            };
-            dense.push(row);
-            rhs.push(b);
-            relations.push(rel);
-        }
-
+        // Relations after normalising every rhs to be >= 0.
+        let relations: Vec<Relation> = lp
+            .constraints
+            .iter()
+            .map(|c| match (c.rhs < 0.0, c.relation) {
+                (true, Relation::Le) => Relation::Ge,
+                (true, Relation::Ge) => Relation::Le,
+                (_, rel) => rel,
+            })
+            .collect();
         let n_slack = relations
             .iter()
             .filter(|r| matches!(r, Relation::Le | Relation::Ge))
@@ -112,12 +164,22 @@ impl Solver {
 
         let mut rows = Vec::with_capacity(m);
         let mut basis = vec![0usize; m];
+        let mut is_basic = vec![false; n_total];
         let mut next_slack = n_struct;
         let mut next_art = art_start;
-        for i in 0..m {
+        for (i, c) in lp.constraints.iter().enumerate() {
             let mut row = vec![0.0f64; n_total + 1];
-            row[..n_struct].copy_from_slice(&dense[i]);
-            row[n_total] = rhs[i];
+            for &(j, a) in &c.coefficients {
+                row[j] += a;
+            }
+            if c.rhs < 0.0 {
+                for v in &mut row[..n_struct] {
+                    *v = -*v;
+                }
+                row[n_total] = -c.rhs;
+            } else {
+                row[n_total] = c.rhs;
+            }
             match relations[i] {
                 Relation::Le => {
                     row[next_slack] = 1.0;
@@ -137,6 +199,7 @@ impl Solver {
                     next_art += 1;
                 }
             }
+            is_basic[basis[i]] = true;
             rows.push(row);
         }
 
@@ -146,18 +209,25 @@ impl Solver {
             n_total,
             art_start,
             rows,
+            rhs_col: n_total,
             basis,
+            is_basic,
+            reduced: Vec::with_capacity(n_total),
+            pivot_nz: Vec::with_capacity(n_total + 1),
+            pivots: 0,
+            bland_pivots: 0,
+            phase1_pivots: 0,
         }
     }
 
-    fn run(mut self, lp: &LinearProgram) -> Result<LpOutcome, LpError> {
+    fn run(&mut self, lp: &LinearProgram) -> Result<LpOutcome, LpError> {
         // ---- Phase 1: minimise the sum of artificial variables. ----
         if self.art_start < self.n_total {
             let mut phase1_cost = vec![0.0f64; self.n_total];
             for c in phase1_cost.iter_mut().skip(self.art_start) {
                 *c = 1.0;
             }
-            match self.optimize(&phase1_cost, false)? {
+            match self.optimize(&phase1_cost)? {
                 PhaseResult::Unbounded => {
                     // The phase-1 objective is bounded below by zero; this
                     // cannot happen with exact arithmetic and indicates
@@ -168,18 +238,20 @@ impl Solver {
             }
             let art_sum: f64 = (0..self.m)
                 .filter(|&i| self.basis[i] >= self.art_start)
-                .map(|i| self.rows[i][self.n_total])
+                .map(|i| self.rows[i][self.rhs_col])
                 .sum();
             if art_sum > FEAS_TOL {
                 return Ok(LpOutcome::Infeasible);
             }
+            self.drop_artificial_columns();
             self.evict_artificials();
         }
+        self.phase1_pivots = self.pivots;
 
         // ---- Phase 2: minimise the real objective. ----
-        let mut phase2_cost = vec![0.0f64; self.n_total];
+        let mut phase2_cost = vec![0.0f64; self.art_start];
         phase2_cost[..self.n_struct].copy_from_slice(&lp.objective);
-        match self.optimize(&phase2_cost, true)? {
+        match self.optimize(&phase2_cost)? {
             PhaseResult::Unbounded => return Ok(LpOutcome::Unbounded),
             PhaseResult::Optimal => {}
         }
@@ -188,11 +260,24 @@ impl Solver {
         for i in 0..self.m {
             let b = self.basis[i];
             if b < self.n_struct {
-                x[b] = self.rows[i][self.n_total].max(0.0);
+                x[b] = self.rows[i][self.rhs_col].max(0.0);
             }
         }
         let objective = lp.objective_value(&x);
         Ok(LpOutcome::Optimal(Solution { objective, x }))
+    }
+
+    /// Truncates every row to its structural and slack columns plus the
+    /// right-hand side. After phase 1 no column at or past `art_start` is
+    /// ever priced, tested or read again: phase 2 bans artificials from
+    /// entering, and basic artificials are evicted (or their rows dropped)
+    /// through non-artificial columns only.
+    fn drop_artificial_columns(&mut self) {
+        for row in &mut self.rows {
+            row[self.art_start] = row[self.rhs_col];
+            row.truncate(self.art_start + 1);
+        }
+        self.rhs_col = self.art_start;
     }
 
     /// Removes artificial variables from the basis after a successful
@@ -207,8 +292,8 @@ impl Solver {
             }
             // Basic artificial at (numerically) zero: pivot in any usable
             // non-artificial column.
-            let pivot_col = (0..self.art_start)
-                .find(|&j| self.rows[i][j].abs() > 1e-7 && !self.basis.contains(&j));
+            let pivot_col =
+                (0..self.art_start).find(|&j| self.rows[i][j].abs() > 1e-7 && !self.is_basic[j]);
             match pivot_col {
                 Some(j) => {
                     self.pivot(i, j);
@@ -217,19 +302,23 @@ impl Solver {
                 None => {
                     // Redundant constraint: drop the row.
                     self.rows.remove(i);
-                    self.basis.remove(i);
+                    let b = self.basis.remove(i);
+                    self.is_basic[b] = false;
                     self.m -= 1;
                 }
             }
         }
     }
 
-    fn optimize(&mut self, cost: &[f64], ban_artificials: bool) -> Result<PhaseResult, LpError> {
+    /// Runs simplex iterations over the columns `0..cost.len()`, which must
+    /// equal the current `rhs_col` (phase 2 thereby bans artificials).
+    fn optimize(&mut self, cost: &[f64]) -> Result<PhaseResult, LpError> {
+        debug_assert_eq!(cost.len(), self.rhs_col);
         let max_iter = 20_000 + 200 * (self.m + self.n_total);
         let mut degenerate_streak = 0usize;
         for _ in 0..max_iter {
             let bland = degenerate_streak >= DEGENERACY_STREAK;
-            match self.step(cost, ban_artificials, bland) {
+            match self.step(cost, bland) {
                 Step::Optimal => return Ok(PhaseResult::Optimal),
                 Step::Unbounded => return Ok(PhaseResult::Unbounded),
                 Step::Pivoted { degenerate } => {
@@ -244,27 +333,34 @@ impl Solver {
         Err(LpError::IterationLimit)
     }
 
-    fn step(&mut self, cost: &[f64], ban_artificials: bool, bland: bool) -> Step {
-        // Reduced costs: r_j = c_j - Σ_i c_{B(i)} · a_{i,j}
-        let col_limit = if ban_artificials {
-            self.art_start
-        } else {
-            self.n_total
-        };
-        let cb: Vec<f64> = self.basis.iter().map(|&b| cost[b]).collect();
+    /// Fills `self.reduced` with `r_j = c_j − Σ_i c_{B(i)}·a_{i,j}`, rows in
+    /// ascending order. Rows with `c_{B(i)} = 0` are skipped, while zero
+    /// `a_{i,j}` are not (the reference skips those instead): either way the
+    /// term omitted or added is `±0`, which leaves a non-zero `r_j`
+    /// bit-identical and can only flip the sign of a zero one.
+    fn price(&mut self, cost: &[f64]) {
+        let width = cost.len();
+        self.reduced.clear();
+        self.reduced.extend_from_slice(cost);
+        for (row, &b) in self.rows.iter().zip(&self.basis) {
+            let cb = cost[b];
+            if cb == 0.0 {
+                continue;
+            }
+            for (r, &a) in self.reduced.iter_mut().zip(&row[..width]) {
+                *r -= cb * a;
+            }
+        }
+    }
+
+    fn step(&mut self, cost: &[f64], bland: bool) -> Step {
+        self.price(cost);
 
         let mut entering: Option<usize> = None;
         let mut best_reduced = -TOL;
-        for (j, &cj) in cost.iter().enumerate().take(col_limit) {
-            if self.basis.contains(&j) {
+        for (j, &r) in self.reduced.iter().enumerate() {
+            if self.is_basic[j] {
                 continue;
-            }
-            let mut r = cj;
-            for (row, &cb_i) in self.rows.iter().zip(cb.iter()) {
-                let a = row[j];
-                if a != 0.0 {
-                    r -= cb_i * a;
-                }
             }
             if r < -TOL {
                 if bland {
@@ -287,7 +383,7 @@ impl Solver {
         for i in 0..self.m {
             let a = self.rows[i][enter];
             if a > TOL {
-                let ratio = self.rows[i][self.n_total] / a;
+                let ratio = self.rows[i][self.rhs_col] / a;
                 let better = ratio < best_ratio - TOL
                     || ((ratio - best_ratio).abs() <= TOL
                         && leave.is_some_and(|l| self.basis[i] < self.basis[l]));
@@ -303,38 +399,56 @@ impl Solver {
             return Step::Unbounded;
         };
         let degenerate = best_ratio <= TOL;
+        if bland {
+            self.bland_pivots += 1;
+        }
         self.pivot(leave_row, enter);
         Step::Pivoted { degenerate }
     }
 
     fn pivot(&mut self, row: usize, col: usize) {
-        let pivot_val = self.rows[row][col];
+        let (before, rest) = self.rows.split_at_mut(row);
+        let (pivot_row, after) = rest.split_first_mut().expect("pivot row in range");
+        let pivot_val = pivot_row[col];
         debug_assert!(pivot_val.abs() > 1e-12, "pivot element must be non-zero");
         let inv = 1.0 / pivot_val;
-        for v in self.rows[row].iter_mut() {
-            *v *= inv;
-        }
-        // Clean tiny values in the pivot row for numerical hygiene.
-        for v in self.rows[row].iter_mut() {
-            if v.abs() < 1e-12 {
-                *v = 0.0;
+        // Normalise, clean tiny values for numerical hygiene, and collect
+        // the non-zero columns the other rows need.
+        self.pivot_nz.clear();
+        for (k, v) in pivot_row.iter_mut().enumerate() {
+            let mut scaled = *v * inv;
+            if scaled.abs() < 1e-12 {
+                scaled = 0.0;
+            }
+            *v = scaled;
+            if scaled != 0.0 && k != col {
+                self.pivot_nz.push(k);
             }
         }
-        self.rows[row][col] = 1.0;
-        let pivot_row = self.rows[row].clone();
-        for (i, r) in self.rows.iter_mut().enumerate() {
-            if i == row {
+        pivot_row[col] = 1.0;
+        // A straight pass over a row vectorises; the indexed scatter only
+        // wins while the pivot row is mostly zeros.
+        let dense = self.pivot_nz.len() * DENSE_PIVOT_FRACTION >= pivot_row.len();
+        for r in before.iter_mut().chain(after) {
+            let factor = r[col];
+            if factor == 0.0 {
                 continue;
             }
-            let factor = r[col];
-            if factor != 0.0 {
-                for (rv, pv) in r.iter_mut().zip(pivot_row.iter()) {
+            if dense {
+                for (rv, &pv) in r.iter_mut().zip(pivot_row.iter()) {
                     *rv -= factor * pv;
                 }
-                r[col] = 0.0;
+            } else {
+                for &k in &self.pivot_nz {
+                    r[k] -= factor * pivot_row[k];
+                }
             }
+            r[col] = 0.0;
         }
+        self.is_basic[self.basis[row]] = false;
+        self.is_basic[col] = true;
         self.basis[row] = col;
+        self.pivots += 1;
     }
 }
 
