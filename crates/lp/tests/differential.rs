@@ -323,8 +323,11 @@ proptest! {
 
     #[test]
     fn infeasible_lps_match_reference(seed in any::<u64>(), n in 1usize..=10) {
-        let outcome = same_as_reference(&infeasible(seed, n))?;
+        let lp = infeasible(seed, n);
+        let outcome = same_as_reference(&lp)?;
         prop_assert_eq!(outcome, LpOutcome::Infeasible);
+        let (_, stats) = lp.solve_with_stats().unwrap();
+        prop_assert_eq!(stats.phase2_pivots, 0);
     }
 
     #[test]
