@@ -1,5 +1,4 @@
-//! **Extended experiment E2** — ablations of the design knobs DESIGN.md calls
-//! out:
+//! **Extended experiment E2** — ablations of the algorithm's design knobs:
 //!
 //! * the rounding parameter `ρ` (vs. the theorem value `ρ* = 1/(√(φd)+1)`),
 //! * the adjustment parameter `µ` (vs. `µ* = 1 − 1/φ`) and disabling the

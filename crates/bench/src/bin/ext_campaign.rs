@@ -9,7 +9,7 @@
 //! * speedup family.
 //!
 //! The arXiv text of the paper has no simulation section, so this campaign is
-//! labelled *extended* in EXPERIMENTS.md; it follows the usual methodology of
+//! labelled *extended*; it follows the usual methodology of
 //! the ICPP evaluation for this literature (normalised makespans against a
 //! lower bound, many seeds per configuration).
 //!

@@ -1,7 +1,7 @@
 //! # mrls-bench — the experiment harness
 //!
 //! Shared infrastructure for the binaries that regenerate every table and
-//! figure of the paper (see `DESIGN.md` §4 and `EXPERIMENTS.md`):
+//! figure of the paper (see "Build, test, bench" in the README):
 //!
 //! * `fig1_ratio_curves` — Figure 1 (Theorem 2 estimated vs. actual ratio).
 //! * `fig2_lower_bound` — Figure 2 / Theorem 6 (local list-scheduling gap).

@@ -6,7 +6,8 @@
 //!
 //! The supplied text describes, but does not fully specify, the tree of
 //! Figure 2; we reconstruct a family with the same ingredients and the same
-//! asymptotics (documented in DESIGN.md):
+//! asymptotics (the `fig2_lower_bound` binary of `mrls-bench` measures the
+//! ratio it forces):
 //!
 //! * `d` resource types, each with capacity `P(i) = 2`;
 //! * unit-time jobs, each requiring one unit of a **single** resource type;

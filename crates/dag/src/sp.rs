@@ -18,8 +18,8 @@
 //! sets, and the cost recurrences (`C` adds under series and maxes under
 //! parallel, `A` always adds) are exactly those used by the FPTAS. The
 //! two-terminal "merged source/sink" definition quoted in the paper describes
-//! the same family up to the bookkeeping of shared endpoint jobs; we document
-//! this substitution in `DESIGN.md`.
+//! the same family up to the bookkeeping of shared endpoint jobs, so this
+//! module works with the formulation above.
 //!
 //! Recognition follows Valdes–Tarjan–Lawler: a partial order is
 //! series-parallel iff it can be recursively split either into the connected

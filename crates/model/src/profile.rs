@@ -7,13 +7,30 @@
 //! [`JobProfile`] is exactly this Pareto frontier, pre-sorted by increasing
 //! execution time, which is the form both the LP relaxation and the rounding
 //! step consume.
+//!
+//! [`JobProfile::build`] streams a grid space: it walks the per-axis value
+//! lists of [`AllocationSpace::axes`] in place with a mixed-radix counter
+//! (last axis fastest, so in the order of [`AllocationSpace::enumerate`]),
+//! evaluates Amdahl, communication-penalty and power-law models from per-axis
+//! term tables whose partial sums are reused while only later axes move, and
+//! keeps each usable point as a compact `(time, area, index)` candidate. The
+//! candidates that no faster, smaller candidate provably dominates are
+//! sorted by integer keys and swept once for Equation 2 (shared with
+//! [`JobProfile::from_points`]); only the survivors, a few percent of a full
+//! grid, are decoded back into [`Allocation`]s. Every step
+//! performs the floating-point operations of [`ExecTimeSpec::time`] and
+//! [`average_area`] in their order, so the result equals the retained
+//! materialising builder [`JobProfile::build_reference`] bit for bit — pinned
+//! by `tests/profile_differential.rs` and the `profile_build` bench binary.
 
 use crate::allocation::{Allocation, SystemConfig};
 use crate::error::ModelError;
 use crate::exectime::ExecTimeSpec;
-use crate::space::AllocationSpace;
+use crate::space::{advance, AllocationSpace};
 use crate::Result;
 use serde::{Deserialize, Serialize};
+
+mod reference;
 
 /// One candidate allocation of a job together with its execution time and
 /// average area on the target system.
@@ -59,11 +76,263 @@ impl AllocPoint {
 
 /// Average area of an allocation with a given execution time (Definition 1).
 pub fn average_area(alloc: &Allocation, time: f64, system: &SystemConfig) -> f64 {
+    average_area_of(alloc.amounts(), time, system)
+}
+
+/// [`average_area`] on raw per-type amounts.
+pub fn average_area_of(alloc: &[u64], time: f64, system: &SystemConfig) -> f64 {
     let d = system.num_resource_types();
     let sum: f64 = (0..d)
         .map(|i| alloc[i] as f64 * time / system.capacity(i) as f64)
         .sum();
     sum / d as f64
+}
+
+/// A usable point awaiting the Equation 2 sweep: its time and area as
+/// [`order_key`]s, and its position in enumeration order. The derived order
+/// — time, then area, then position — is the order a stable sort by
+/// `(time, area)` produces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Candidate {
+    time: u64,
+    area: u64,
+    idx: usize,
+}
+
+impl Candidate {
+    fn new(time: f64, area: f64, idx: usize) -> Candidate {
+        Candidate {
+            time: order_key(time),
+            area: order_key(area),
+            idx,
+        }
+    }
+
+    fn time(&self) -> f64 {
+        from_order_key(self.time)
+    }
+
+    fn area(&self) -> f64 {
+        from_order_key(self.area)
+    }
+}
+
+/// An integer whose order is the order of [`f64::total_cmp`]. On the
+/// non-negative values a built profile holds (times finite and `> 0`, areas
+/// `≥ +0.0`) it is `to_bits` with the sign bit set, so it sorts exactly as
+/// `partial_cmp` does.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// Inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// Equation 2: orders the candidates by `(time, area, position)` and keeps,
+/// in that order, exactly the non-dominated ones. Candidates that
+/// [`witness_filter`] proves dominated are dropped before the sort.
+fn prune(cands: &mut Vec<Candidate>) {
+    match witness_filter(cands) {
+        Some(front) => *cands = front,
+        None => cands.sort_unstable(),
+    }
+    sweep(cands);
+}
+
+/// The Equation 2 sweep over candidates sorted by `(time, area, position)`:
+/// keeps, in order, the candidates no strictly faster one beats on area.
+fn sweep(cands: &mut Vec<Candidate>) {
+    let mut kept = 0usize;
+    let mut best_area_strictly_faster = f64::INFINITY;
+    let mut i = 0usize;
+    while i < cands.len() {
+        // Process all points with (numerically) equal time together: they
+        // cannot dominate each other via Equation 2's strict time
+        // inequality.
+        let t = cands[i].time();
+        let mut group_end = i;
+        while group_end < cands.len() && (cands[group_end].time() - t).abs() <= 1e-12 {
+            group_end += 1;
+        }
+        let mut group_min_area = f64::INFINITY;
+        for p in i..group_end {
+            // Survivors are compacted to the front; `kept ≤ p`, so no
+            // unread candidate is overwritten.
+            let c = cands[p];
+            let area = c.area();
+            // Equation 2 uses *strict* inequalities on both coordinates: a
+            // point is dominated only if some strictly faster point has
+            // strictly smaller area.
+            if area <= best_area_strictly_faster {
+                cands[kept] = c;
+                kept += 1;
+            }
+            group_min_area = group_min_area.min(area);
+        }
+        best_area_strictly_faster = best_area_strictly_faster.min(group_min_area);
+        i = group_end;
+    }
+    cands.truncate(kept);
+}
+
+/// Candidates per time bucket of [`witness_filter`].
+const BUCKET_SIZE: usize = 8;
+
+/// The candidates that can survive Equation 2, sorted, or `None` when the
+/// caller must sort them all.
+///
+/// Sorting dominates the cost of a large grid although only a few percent of
+/// its points survive, so the filter first drops every candidate `q` with a
+/// *witness* `w` — the smallest-area candidate of the time buckets before
+/// `q`'s — that is more than `2e-12` faster and strictly smaller in area.
+/// `w`'s 1e-12 time group precedes `q`'s, so the sweep drops `q`, and `q`'s
+/// area never lowers the sweep's running minimum (`w`'s already does, or that
+/// of `w`'s own witness). Dropping points could still move where the sweep's
+/// time groups start, but only where two *distinct* times within 1e-12 of
+/// each other remain: without such a pair every group, of all candidates and
+/// of the survivors alike, holds a single exact time. The survivors are
+/// returned only after checking that they have no such pair.
+fn witness_filter(cands: &[Candidate]) -> Option<Vec<Candidate>> {
+    if cands.len() < 4 * BUCKET_SIZE {
+        return None;
+    }
+    // Buckets of equal width in order-key space: monotone in time.
+    let lo = cands.iter().map(|c| c.time).min()?;
+    let hi = cands.iter().map(|c| c.time).max()?;
+    let bits = (cands.len() / BUCKET_SIZE).ilog2();
+    let shift = (u64::BITS - (hi - lo).leading_zeros()).saturating_sub(bits);
+    let bucket = |time: u64| ((time - lo) >> shift) as usize;
+    let mut witness: Vec<Option<Candidate>> = vec![None; bucket(hi) + 1];
+    for c in cands {
+        let slot = &mut witness[bucket(c.time)];
+        if slot.is_none_or(|w| c.area < w.area) {
+            *slot = Some(*c);
+        }
+    }
+    // Each bucket's witness becomes the best of the buckets before it.
+    let mut best: Option<Candidate> = None;
+    for slot in &mut witness {
+        let here = std::mem::replace(slot, best);
+        if let Some(h) = here {
+            if best.is_none_or(|b| h.area < b.area) {
+                best = Some(h);
+            }
+        }
+    }
+    let mut front: Vec<Candidate> = cands
+        .iter()
+        .copied()
+        .filter(|c| {
+            !witness[bucket(c.time)]
+                .is_some_and(|w| w.time() + 2e-12 < c.time() && w.area() < c.area())
+        })
+        .collect();
+    front.sort_unstable();
+    let near_tie = front.windows(2).any(|pair| {
+        let (a, b) = (pair[0].time(), pair[1].time());
+        a != b && b - a <= 1e-12
+    });
+    (!near_tie).then_some(front)
+}
+
+/// An Amdahl, communication-penalty or power-law time as a chain of steps
+/// `t ← t + table[v]` or `t ← t / table[v]`, one per term of
+/// [`ExecTimeSpec::time`] and in its order, each table holding the term for
+/// every value of its axis. `prefix[s]` caches the value before step `s` at
+/// the current grid point, so a move of the last axes only replays the steps
+/// from the first one that reads a moved axis.
+struct TermChain {
+    steps: Vec<Step>,
+    /// Per axis `a`, the first step reading an axis `≥ a`.
+    first_step: Vec<usize>,
+    prefix: Vec<f64>,
+}
+
+struct Step {
+    axis: usize,
+    divide: bool,
+    table: Vec<f64>,
+}
+
+impl TermChain {
+    /// The chain of `spec` over the grid `axes` (every value `≥ 1`), or
+    /// `None` for the other models and for parameter vectors whose length is
+    /// not the grid's dimension.
+    fn new(spec: &ExecTimeSpec, axes: &[Vec<u64>]) -> Option<TermChain> {
+        let d = axes.len();
+        let step = |axis: usize, divide: bool, term: &dyn Fn(u64) -> f64| Step {
+            axis,
+            divide,
+            table: axes[axis].iter().map(|&v| term(v)).collect(),
+        };
+        // `t += w / p` only for `w > 0`, exactly as `time_of` skips the rest.
+        let work_steps = |work: &[f64]| -> Vec<Step> {
+            work.iter()
+                .enumerate()
+                .filter(|&(_, &w)| w > 0.0)
+                .map(|(i, &w)| step(i, false, &|v| w / v as f64))
+                .collect()
+        };
+        let (start, steps) = match spec {
+            ExecTimeSpec::Amdahl { seq, work } if work.len() == d => (*seq, work_steps(work)),
+            ExecTimeSpec::CommPenalty { seq, work, comm } if work.len() == d && comm.len() == d => {
+                let mut steps = work_steps(work);
+                steps.extend(
+                    comm.iter()
+                        .enumerate()
+                        .map(|(i, &c)| step(i, false, &|v| c * v.saturating_sub(1) as f64)),
+                );
+                (*seq, steps)
+            }
+            ExecTimeSpec::PowerLaw { base, alpha } if alpha.len() == d => {
+                let steps = alpha
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &a)| a > 0.0)
+                    .map(|(i, &a)| step(i, true, &|v| (v as f64).powf(a)))
+                    .collect();
+                (*base, steps)
+            }
+            _ => return None,
+        };
+        let first_step = (0..d)
+            .map(|a| {
+                steps
+                    .iter()
+                    .position(|s| s.axis >= a)
+                    .unwrap_or(steps.len())
+            })
+            .collect();
+        Some(TermChain {
+            prefix: vec![start; steps.len() + 1],
+            steps,
+            first_step,
+        })
+    }
+
+    /// The time at grid point `digits`, where no axis before `moved` has
+    /// changed since the previous call (`moved = 0` on the first call).
+    fn eval(&mut self, moved: usize, digits: &[usize]) -> f64 {
+        let from = self.first_step[moved];
+        let mut t = self.prefix[from];
+        for (s, step) in self.steps.iter().enumerate().skip(from) {
+            let term = step.table[digits[step.axis]];
+            t = if step.divide { t / term } else { t + term };
+            self.prefix[s + 1] = t;
+        }
+        t
+    }
 }
 
 /// The non-dominated allocation set `N_j` of one job, sorted by increasing
@@ -76,7 +345,13 @@ pub struct JobProfile {
 impl JobProfile {
     /// Builds the profile of a job: enumerate the candidate allocations,
     /// evaluate the execution-time model, and prune dominated points
-    /// (Equation 2).
+    /// (Equation 2). Points on which the model cannot run (a time that is not
+    /// finite and positive, e.g. zero units of a needed resource type) are
+    /// dropped; if none is left, the error carries the last such time.
+    ///
+    /// Grid spaces are streamed without materialising the grid (see the
+    /// module documentation); the result equals
+    /// [`JobProfile::build_reference`] bit for bit.
     pub fn build(
         spec: &ExecTimeSpec,
         space: &AllocationSpace,
@@ -84,83 +359,104 @@ impl JobProfile {
         job: usize,
         enumeration_limit: u128,
     ) -> Result<JobProfile> {
-        let allocs = space.enumerate(system, enumeration_limit).map_err(|e| {
-            if let ModelError::EmptyAllocationSpace { .. } = e {
-                ModelError::EmptyAllocationSpace { job }
-            } else {
-                e
-            }
-        })?;
-        // Allocations on which the model cannot run (e.g. zero units of a
-        // resource type the job genuinely needs → infinite time) are simply
-        // not usable points; drop them. Only error out if nothing remains.
-        let mut points = Vec::with_capacity(allocs.len());
+        let attribute = |e| match e {
+            ModelError::EmptyAllocationSpace { .. } => ModelError::EmptyAllocationSpace { job },
+            e => e,
+        };
+        let mut cands = Vec::new();
         let mut last_invalid = 0.0f64;
-        for alloc in allocs {
-            system.validate_allocation(&alloc)?;
-            let time = spec.time(&alloc);
+        let Some(axes) = space.axes(system, enumeration_limit).map_err(attribute)? else {
+            let allocs = space
+                .enumerate(system, enumeration_limit)
+                .map_err(attribute)?;
+            for (idx, alloc) in allocs.iter().enumerate() {
+                let time = spec.time(alloc);
+                if !time.is_finite() || time <= 0.0 {
+                    last_invalid = time;
+                    continue;
+                }
+                cands.push(Candidate::new(time, average_area(alloc, time, system), idx));
+            }
+            return finish(cands, last_invalid, job, |idx| allocs[idx].clone());
+        };
+
+        // Every axis value lies in `1..=P(i)` (see `AllocationSpace::axes`),
+        // so every grid point is a valid allocation: nothing to re-check.
+        debug_assert!(axes
+            .iter()
+            .zip(system.capacities())
+            .all(|(axis, &cap)| axis.iter().all(|v| (1..=cap).contains(v))));
+        let d = axes.len();
+        let radices: Vec<usize> = axes.iter().map(Vec::len).collect();
+        let caps: Vec<f64> = system.capacities().iter().map(|&c| c as f64).collect();
+        let mut digits = vec![0usize; d];
+        let mut point: Vec<u64> = axes.iter().map(|axis| axis[0]).collect();
+        let mut amounts: Vec<f64> = point.iter().map(|&v| v as f64).collect();
+        let mut chain = TermChain::new(spec, &axes);
+        if let Some(size) = radices.iter().try_fold(1usize, |n, &r| n.checked_mul(r)) {
+            cands.reserve(size);
+        }
+        let mut moved = 0usize;
+        let mut idx = 0usize;
+        loop {
+            let time = match chain.as_mut() {
+                Some(chain) => chain.eval(moved, &digits),
+                None => spec.time_of(&point),
+            };
+            debug_assert_eq!(time.to_bits(), spec.time_of(&point).to_bits());
             if !time.is_finite() || time <= 0.0 {
                 last_invalid = time;
-                continue;
+            } else {
+                // `average_area_of` with the conversions hoisted out of the
+                // walk: the same operations in the same order.
+                let sum: f64 = amounts
+                    .iter()
+                    .zip(&caps)
+                    .map(|(&a, &cap)| a * time / cap)
+                    .sum();
+                let area = sum / d as f64;
+                debug_assert_eq!(
+                    area.to_bits(),
+                    average_area_of(&point, time, system).to_bits()
+                );
+                cands.push(Candidate::new(time, area, idx));
             }
-            let area = average_area(&alloc, time, system);
-            points.push(AllocPoint { alloc, time, area });
+            idx += 1;
+            let Some(axis) = advance(&mut digits, &radices) else {
+                break;
+            };
+            moved = axis;
+            for i in axis..d {
+                point[i] = axes[i][digits[i]];
+                amounts[i] = point[i] as f64;
+            }
         }
-        if points.is_empty() {
-            return Err(ModelError::InvalidExecutionTime {
-                job,
-                value: last_invalid,
-            });
-        }
-        Ok(JobProfile::from_points(points, job))
+        finish(cands, last_invalid, job, |idx| decode(idx, &axes))
     }
 
-    /// Builds a profile from explicit points, pruning dominated ones. The
-    /// `job` index is only used for error attribution by callers; an empty
-    /// point set yields an empty profile.
-    pub fn from_points(mut points: Vec<AllocPoint>, _job: usize) -> JobProfile {
-        // Sort by (time asc, area asc) and sweep keeping the running minimum
-        // area: a point is dominated iff some strictly faster point has
-        // strictly smaller area (Equation 2 uses strict inequalities on both
-        // coordinates).
-        points.sort_by(|a, b| {
-            a.time
-                .partial_cmp(&b.time)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(
-                    a.area
-                        .partial_cmp(&b.area)
-                        .unwrap_or(std::cmp::Ordering::Equal),
-                )
-        });
-        let mut kept: Vec<AllocPoint> = Vec::new();
-        let mut best_area_strictly_faster = f64::INFINITY;
-        let mut i = 0usize;
-        while i < points.len() {
-            // Process all points with (numerically) equal time together: they
-            // cannot dominate each other via Equation 2's strict time
-            // inequality.
-            let t = points[i].time;
-            let mut group_end = i;
-            while group_end < points.len() && (points[group_end].time - t).abs() <= 1e-12 {
-                group_end += 1;
-            }
-            for p in &points[i..group_end] {
-                // Equation 2 uses *strict* inequalities on both coordinates:
-                // a point is dominated only if some strictly faster point has
-                // strictly smaller area.
-                if p.area <= best_area_strictly_faster {
-                    kept.push(p.clone());
-                }
-            }
-            let group_min_area = points[i..group_end]
+    /// Builds a profile from explicit points, pruning dominated ones
+    /// (Equation 2) with the sweep [`JobProfile::build`] uses. The points are
+    /// ordered by time, then area, in the order of [`f64::total_cmp`], ties
+    /// keeping their input order. The `job` index is only used for error
+    /// attribution by callers; an empty point set yields an empty profile.
+    pub fn from_points(points: Vec<AllocPoint>, _job: usize) -> JobProfile {
+        let mut cands: Vec<Candidate> = points
+            .iter()
+            .enumerate()
+            .map(|(idx, p)| Candidate::new(p.time, p.area, idx))
+            .collect();
+        prune(&mut cands);
+        let mut points: Vec<Option<AllocPoint>> = points.into_iter().map(Some).collect();
+        JobProfile {
+            points: cands
                 .iter()
-                .map(|p| p.area)
-                .fold(f64::INFINITY, f64::min);
-            best_area_strictly_faster = best_area_strictly_faster.min(group_min_area);
-            i = group_end;
+                .map(|c| {
+                    points[c.idx]
+                        .take()
+                        .expect("each point is kept at most once")
+                })
+                .collect(),
         }
-        JobProfile { points: kept }
     }
 
     /// The non-dominated points, sorted by increasing time.
@@ -259,10 +555,114 @@ impl JobProfile {
     }
 }
 
+/// Prunes the candidates and decodes the survivors into the profile, or
+/// reports that no point was usable.
+fn finish(
+    mut cands: Vec<Candidate>,
+    last_invalid: f64,
+    job: usize,
+    alloc_of: impl Fn(usize) -> Allocation,
+) -> Result<JobProfile> {
+    if cands.is_empty() {
+        return Err(ModelError::InvalidExecutionTime {
+            job,
+            value: last_invalid,
+        });
+    }
+    prune(&mut cands);
+    Ok(JobProfile {
+        points: cands
+            .iter()
+            .map(|c| AllocPoint {
+                alloc: alloc_of(c.idx),
+                time: c.time(),
+                area: c.area(),
+            })
+            .collect(),
+    })
+}
+
+/// The grid point at position `idx` of the lexicographic walk of `axes`.
+fn decode(mut idx: usize, axes: &[Vec<u64>]) -> Allocation {
+    let mut amounts = vec![0u64; axes.len()];
+    for (amount, axis) in amounts.iter_mut().zip(axes).rev() {
+        *amount = axis[idx % axis.len()];
+        idx /= axis.len();
+    }
+    Allocation::new(amounts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::space::DEFAULT_ENUMERATION_LIMIT;
+
+    /// `prune` against sorting every candidate before the sweep.
+    fn prune_matches_full_sort(cands: &[Candidate]) -> Vec<Candidate> {
+        let mut expected = cands.to_vec();
+        expected.sort_unstable();
+        sweep(&mut expected);
+        let mut got = cands.to_vec();
+        prune(&mut got);
+        assert_eq!(got, expected);
+        got
+    }
+
+    /// Dominated filler: slow and large, in the time buckets after `first`.
+    fn filler(first: usize, count: usize) -> impl Iterator<Item = Candidate> {
+        (first..first + count).map(|idx| Candidate::new(100.0 + idx as f64, 1e6, idx))
+    }
+
+    #[test]
+    fn witness_filter_drops_dominated_candidates() {
+        let mut cands = vec![Candidate::new(1.0, 1.0, 0)];
+        cands.extend(filler(1, 63));
+        let front = witness_filter(&cands).expect("no near ties");
+        assert!(front.len() < cands.len());
+        assert_eq!(prune_matches_full_sort(&cands).len(), 1);
+    }
+
+    #[test]
+    fn witness_filter_falls_back_on_near_tied_survivors() {
+        // `q` is dominated by `w`, but it starts the 1e-12 group holding
+        // `q2`; without `q` that group would start at `q2` and swallow `p3`,
+        // which `q2` dominates only from an earlier group.
+        let t = 10.0;
+        let mut cands = vec![
+            Candidate::new(1.0, 5.0, 0),         // w
+            Candidate::new(t, 6.0, 1),           // q
+            Candidate::new(t + 0.8e-12, 3.0, 2), // q2
+            Candidate::new(t + 1.5e-12, 4.0, 3), // p3
+        ];
+        cands.extend(filler(4, 60));
+        assert!(witness_filter(&cands).is_none());
+        let kept: Vec<usize> = prune_matches_full_sort(&cands)
+            .iter()
+            .map(|c| c.idx)
+            .collect();
+        assert_eq!(kept, vec![0, 2]);
+    }
+
+    #[test]
+    fn witness_must_be_more_than_a_group_width_faster() {
+        // `w` ends the first time bucket and `q`, one ulp slower, starts the
+        // next, so `w` is `q`'s witness; they share a 1e-12 group, so `q`
+        // must survive although `w` is smaller.
+        let mut cands: Vec<Candidate> = filler(2, 62).collect();
+        let lo = order_key(1.0);
+        let hi = cands.iter().map(|c| c.time).max().unwrap();
+        let bits = (64 / BUCKET_SIZE).ilog2();
+        let shift = (u64::BITS - (hi - lo).leading_zeros()).saturating_sub(bits);
+        let w_time = from_order_key(lo + (1 << shift) - 1);
+        cands.push(Candidate::new(1.0, 9.0, 0));
+        cands.push(Candidate::new(w_time, 2.0, 1));
+        cands.push(Candidate::new(from_order_key(lo + (1 << shift)), 3.0, 64));
+        let kept: Vec<usize> = prune_matches_full_sort(&cands)
+            .iter()
+            .map(|c| c.idx)
+            .collect();
+        assert_eq!(kept, vec![0, 1, 64]);
+    }
 
     fn system2() -> SystemConfig {
         SystemConfig::new(vec![4, 8]).unwrap()

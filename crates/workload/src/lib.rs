@@ -1,8 +1,9 @@
 //! # mrls-workload — synthetic workflows and moldable job generators
 //!
 //! The arXiv version of the paper is a theory paper; to validate the
-//! algorithm empirically (Table 1 verification and the extended campaign in
-//! `EXPERIMENTS.md`) we need representative workloads. This crate generates:
+//! algorithm empirically (Table 1 verification and the extended campaign of
+//! the `mrls-bench` binaries) we need representative workloads. This crate
+//! generates:
 //!
 //! * **Precedence DAGs** ([`dag_gen`]): independent bags, chains, random
 //!   layered graphs, Erdős–Rényi DAGs, fork-join graphs, random in-/out-trees,
