@@ -24,6 +24,11 @@
 //! Runs are deterministic (no perturbation; fixed release pattern), so the
 //! stretch columns are byte-stable across machines; only `wall_ms` varies.
 //!
+//! The binary doubles as a gate: every realized trace is checked by an
+//! independent sweep (releases, precedence, and the capacity in force at
+//! each start, capacity changes included), and `LookAhead` mean stretch
+//! must stay below `AtEvent` at every `n`. It exits 1 otherwise.
+//!
 //! Arguments (`key=value`, all optional): `n=1000,5000,20000`.
 //! Results go to `results/placement_modes.csv`.
 
@@ -165,8 +170,75 @@ fn mix(n: usize) -> Mix {
     (instance, decision, releases, changes)
 }
 
+/// Tolerance of the realized-trace check: the engine groups events within
+/// `mrls_core::EPS` of each other, so a start may precede a release or a
+/// finish it waited for by that much.
+const TOL: f64 = 1e-6;
+
+/// Checks a realized schedule without trusting the engine: every job ran
+/// for a positive time, no earlier than its release and than each
+/// predecessor's finish, and each start fit the capacity in force at its
+/// instant (the capacity changes applied, finishes up to `TOL` later already
+/// returned). An O(n log n) sweep; `validate_schedule_with` rescans the
+/// schedule per event window, which is quadratic at these sizes. Returns
+/// the violations found.
+fn check_realized(
+    instance: &Instance,
+    trace: &mrls_core::Schedule,
+    releases: &[f64],
+    changes: &[(f64, usize, u64)],
+) -> Vec<String> {
+    let mut found = Vec::new();
+    let jobs = &trace.jobs;
+    for (j, sj) in jobs.iter().enumerate() {
+        let ran = sj.finish > sj.start;
+        if sj.job != j || !ran || sj.start + TOL < releases[j] {
+            found.push(format!("job {j}: bad interval or early start {sj:?}"));
+        }
+    }
+    for (u, v) in instance.dag.edges() {
+        if jobs[v].start + TOL < jobs[u].finish {
+            found.push(format!("job {v} started before predecessor {u} finished"));
+        }
+    }
+    // Sweep keys: finishes (moved TOL earlier) before capacity changes
+    // before starts at the same instant.
+    let mut events: Vec<(f64, u8, usize)> = Vec::with_capacity(2 * jobs.len() + changes.len());
+    for sj in jobs {
+        events.push((sj.finish - TOL, 0, sj.job));
+        events.push((sj.start, 2, sj.job));
+    }
+    for (k, c) in changes.iter().enumerate() {
+        events.push((c.0, 1, k));
+    }
+    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut capacity: Vec<i64> = instance
+        .system
+        .capacities()
+        .iter()
+        .map(|&c| c as i64)
+        .collect();
+    let mut used = vec![0i64; capacity.len()];
+    for (t, kind, id) in events {
+        match kind {
+            0 => (0..used.len()).for_each(|i| used[i] -= jobs[id].alloc[i] as i64),
+            1 => capacity[changes[id].1] = changes[id].2 as i64,
+            _ => {
+                (0..used.len()).for_each(|i| used[i] += jobs[id].alloc[i] as i64);
+                if (0..used.len()).any(|i| used[i] > capacity[i]) {
+                    found.push(format!(
+                        "job {id} started at {t} with usage {used:?} over capacity {capacity:?}"
+                    ));
+                }
+            }
+        }
+    }
+    found
+}
+
 fn main() {
     let ns = args();
+    let mut violations: Vec<String> = Vec::new();
     let scheduler = ListScheduler::new(PriorityRule::CriticalPath);
     let mut table = ResultTable::new(&[
         "n",
@@ -190,6 +262,8 @@ fn main() {
         };
         let sim = Simulator::new(config);
 
+        // Mean stretch per mode, indexed AtEvent = 0, LookAhead = 1.
+        let mut stretch = [f64::NAN; 2];
         for mode in [PlacementMode::AtEvent, PlacementMode::LookAhead] {
             let mut policy =
                 ReactiveListPolicy::new(PriorityRule::CriticalPath).with_placement(mode);
@@ -211,10 +285,16 @@ fn main() {
             }
             let mean = sum / n as f64;
 
-            let label = match mode {
-                PlacementMode::AtEvent => "at_event",
-                PlacementMode::LookAhead => "look_ahead",
+            let (label, slot) = match mode {
+                PlacementMode::AtEvent => ("at_event", 0),
+                PlacementMode::LookAhead => ("look_ahead", 1),
             };
+            violations.extend(
+                check_realized(&instance, &trace.realized, &releases, &changes)
+                    .into_iter()
+                    .map(|v| format!("n={n} {label}: {v}")),
+            );
+            stretch[slot] = mean;
             println!(
                 "n {n:>6}  {label:>10}  mean stretch {mean:>7.3}  max {max:>8.3}  \
                  makespan {:>8.2}  wall {wall_ms:>8.2}ms",
@@ -229,7 +309,21 @@ fn main() {
                 fmt3(wall_ms),
             ]);
         }
+        let look_ahead_wins = stretch[1] < stretch[0];
+        if !look_ahead_wins {
+            violations.push(format!(
+                "n={n}: LookAhead mean stretch {:.3} is not below AtEvent's {:.3}",
+                stretch[1], stretch[0]
+            ));
+        }
     }
 
     emit("placement_modes", &table);
+    if !violations.is_empty() {
+        for v in violations.iter().take(20) {
+            eprintln!("FAIL {v}");
+        }
+        eprintln!("{} violation(s)", violations.len());
+        std::process::exit(1);
+    }
 }

@@ -65,6 +65,13 @@ pub struct SlotSet {
     dirty: bool,
 }
 
+/// `true` iff `[t0, t1)` is a non-empty window. A NaN bound makes the window
+/// empty: every window operation treats it as a no-op instead of splitting a
+/// slot at NaN.
+fn nonempty(t0: f64, t1: f64) -> bool {
+    t1 > t0
+}
+
 impl SlotSet {
     /// A fully idle timeline starting at `t0` with integer capacities.
     pub fn new(capacities: &[u64], t0: f64) -> Self {
@@ -121,11 +128,11 @@ impl SlotSet {
         self.slots.partition_point(|s| s.end <= t)
     }
 
-    /// Ensures a slot boundary exists at `t` (no-op when `t` already is one
-    /// or lies at/before the start of the axis). Never creates zero-width
-    /// slots.
+    /// Ensures a slot boundary exists at `t` (no-op when `t` already is one,
+    /// lies at/before the start of the axis, is `+∞` — the end of the last
+    /// slot — or is NaN). Never creates zero-width slots.
     fn split_at(&mut self, t: f64) {
-        if t <= self.slots[0].begin {
+        if !nonempty(self.slots[0].begin, t) || t == f64::INFINITY {
             return;
         }
         let k = self.slot_index(t);
@@ -145,9 +152,10 @@ impl SlotSet {
     }
 
     /// Subtracts `alloc` from every slot intersecting `[t0, t1)`, splitting
-    /// at the window boundaries first. A claim with `t1 <= t0` is a no-op.
+    /// at the window boundaries first. A claim with `t1 <= t0` or a NaN
+    /// bound is a no-op.
     pub fn claim(&mut self, t0: f64, t1: f64, alloc: &Allocation) {
-        if t1 <= t0 {
+        if !nonempty(t0, t1) {
             return;
         }
         self.split_at(t0);
@@ -166,10 +174,10 @@ impl SlotSet {
 
     /// Adds `alloc` back to every slot intersecting `[t0, t1)`, then merges
     /// adjacent slots whose free vectors became equal again. A release with
-    /// `t1 <= t0` is a no-op (e.g. the EPS-sliver of a claim that already
-    /// expired).
+    /// `t1 <= t0` (e.g. the EPS-sliver of a claim that already expired) or a
+    /// NaN bound is a no-op.
     pub fn release(&mut self, t0: f64, t1: f64, alloc: &Allocation) {
-        if t1 <= t0 {
+        if !nonempty(t0, t1) {
             return;
         }
         self.split_at(t0);
@@ -233,8 +241,12 @@ impl SlotSet {
     }
 
     /// Adds `alloc` back to every slot from `t0` onward (`[t0, +∞)`),
-    /// splitting at `t0`: a future release of a currently held claim.
+    /// splitting at `t0`: a future release of a currently held claim. A NaN
+    /// `t0` is a no-op.
     pub fn release_from(&mut self, t0: f64, alloc: &Allocation) {
+        if t0.is_nan() {
+            return;
+        }
         self.split_at(t0);
         let from = self.slot_index(t0.max(self.slots[0].begin));
         for s in &mut self.slots[from..] {
@@ -258,8 +270,11 @@ impl SlotSet {
 
     /// Advances the start of the time axis to `t`: slots entirely in the past
     /// are dropped and the first surviving slot is clamped to begin at `t`.
-    /// Moving backwards is a no-op.
+    /// Moving backwards, or to NaN, is a no-op.
     pub fn advance_to(&mut self, t: f64) {
+        if t.is_nan() {
+            return;
+        }
         let drop = self.slot_index(t).min(self.slots.len().saturating_sub(1));
         if drop > 0 {
             self.slots.drain(..drop);
@@ -473,6 +488,35 @@ impl SlotSet {
         self.slots[k].free[i]
     }
 
+    /// `true` iff `self` and `other` hold the same availability function:
+    /// the same axis start and equal free amounts at every instant. Slot
+    /// boundaries may differ — a claim splits without re-merging, so a set
+    /// maintained by claims and releases can keep a boundary between equal
+    /// neighbours that a fresh build never creates — and every window query
+    /// ([`SlotSet::fits_window`], [`SlotSet::first_fit_window`]) answers the
+    /// same on both.
+    pub fn same_availability(&self, other: &SlotSet) -> bool {
+        let (a, b) = (&self.slots, &other.slots);
+        if a[0].begin != b[0].begin {
+            return false;
+        }
+        let (mut i, mut k) = (0, 0);
+        // Walk the common refinement of both partitions; both end at +∞.
+        while i < a.len() && k < b.len() {
+            if a[i].free != b[k].free {
+                return false;
+            }
+            let (ea, eb) = (a[i].end, b[k].end);
+            if ea <= eb {
+                i += 1;
+            }
+            if eb <= ea {
+                k += 1;
+            }
+        }
+        i == a.len() && k == b.len()
+    }
+
     /// Debug validation of the structural invariants: slots are time-sorted,
     /// contiguous (no gaps, no overlaps), positive-width, and the last slot
     /// extends to `+∞`.
@@ -570,6 +614,70 @@ mod tests {
         s.check_invariants().unwrap();
         assert_eq!(s.num_slots(), 1);
         assert_eq!(s.free_at(3.0, 0), 4.0);
+    }
+
+    #[test]
+    fn nan_bounds_are_empty_windows() {
+        let mut s = SlotSet::new(&[4, 2], 0.0);
+        s.claim(2.0, 5.0, &alloc(&[1, 1]));
+        let before = s.clone();
+        s.claim(1.0, f64::NAN, &alloc(&[2, 1]));
+        s.claim(f64::NAN, 1.0, &alloc(&[2, 1]));
+        s.release(3.0, f64::NAN, &alloc(&[1, 1]));
+        s.release(f64::NAN, 4.0, &alloc(&[1, 1]));
+        s.check_invariants().unwrap();
+        assert_eq!(s, before, "a NaN bound must leave the set untouched");
+    }
+
+    #[test]
+    fn release_from_and_advance_to_nan_are_no_ops() {
+        let mut s = SlotSet::new(&[4], 0.0);
+        s.claim_all(&alloc(&[3]));
+        s.advance_to(1.0);
+        let before = s.clone();
+        s.release_from(f64::NAN, &alloc(&[3]));
+        s.advance_to(f64::NAN);
+        s.check_invariants().unwrap();
+        assert_eq!(s, before);
+        assert_eq!(s.begin(), 1.0);
+        assert_eq!(s.now_free(), &[1.0]);
+    }
+
+    #[test]
+    fn windows_may_end_at_infinity() {
+        let mut s = SlotSet::new(&[4], 0.0);
+        s.claim(2.0, f64::INFINITY, &alloc(&[3]));
+        s.check_invariants().unwrap();
+        assert_eq!(s.num_slots(), 2);
+        assert_eq!(s.free_at(1.0, 0), 4.0);
+        assert_eq!(s.free_at(1e300, 0), 1.0);
+        s.release(2.0, f64::INFINITY, &alloc(&[3]));
+        s.check_invariants().unwrap();
+        assert_eq!(s.num_slots(), 1);
+    }
+
+    #[test]
+    fn same_availability_ignores_boundaries_between_equal_slots() {
+        // Two adjacent claims of the same amount leave a boundary at 2.0
+        // that a single claim over [1, 3) never creates.
+        let mut split = SlotSet::new(&[6, 3], 0.0);
+        split.claim(1.0, 2.0, &alloc(&[2, 1]));
+        split.claim(2.0, 3.0, &alloc(&[2, 1]));
+        let mut whole = SlotSet::new(&[6, 3], 0.0);
+        whole.claim(1.0, 3.0, &alloc(&[2, 1]));
+        assert_ne!(split.num_slots(), whole.num_slots());
+        assert!(split.same_availability(&whole));
+        assert!(whole.same_availability(&split));
+        // Any differing amount, window end or axis start breaks equality.
+        let mut other = whole.clone();
+        other.claim(2.5, 3.0, &alloc(&[0, 1]));
+        assert!(!split.same_availability(&other));
+        let mut longer = SlotSet::new(&[6, 3], 0.0);
+        longer.claim(1.0, 3.5, &alloc(&[2, 1]));
+        assert!(!split.same_availability(&longer));
+        let mut later = whole.clone();
+        later.advance_to(0.5);
+        assert!(!whole.same_availability(&later));
     }
 
     #[test]

@@ -52,6 +52,57 @@ fn malformed_json_gets_an_error_reply() {
     handle.join();
 }
 
+/// A request line nested `depth` arrays deep inside an otherwise valid
+/// request with id 7.
+fn deeply_nested_line(depth: usize) -> String {
+    format!(
+        r#"{{"id":7,"tenant":"t","body":"QueryStatus","x":{}{}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    )
+}
+
+#[test]
+fn deeply_nested_lines_are_rejected_without_exhausting_the_stack() {
+    // Depth 10 000 is a ~20 KB line; an unbounded recursive parser overflows
+    // a default 2 MiB thread stack on it and aborts the whole process.
+    let line = deeply_nested_line(10_000);
+    let outcome = std::thread::Builder::new()
+        .spawn(move || {
+            (
+                mrls_serve::parse_request(&line),
+                mrls_serve::probe_request_id(&line),
+            )
+        })
+        .unwrap()
+        .join()
+        .expect("parsing a deep line must not panic");
+    let err = outcome.0.expect_err("a 10 000-deep line is rejected");
+    assert!(err.contains("recursion limit"), "{err}");
+    assert_eq!(outcome.1, 0, "the id probe gives up on the same line");
+    // At the limit the nesting itself is accepted (the unknown field is
+    // ignored), so the cap rejects only what is deeper.
+    let within = deeply_nested_line(serde_json::RECURSION_LIMIT - 1);
+    assert_eq!(mrls_serve::parse_request(&within).unwrap().id, 7);
+
+    // Over the wire: the hostile line gets an error reply on a connection
+    // thread, and the server keeps serving.
+    let handle = spawn_server(1 << 16);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let response = raw_roundtrip(&mut stream, &deeply_nested_line(10_000));
+    assert_eq!(response.id, 0);
+    assert!(matches!(response.body, ResponseBody::Error { .. }));
+    let response = raw_roundtrip(&mut stream, r#"{"id":9,"tenant":"t","body":"QueryStatus"}"#);
+    assert_eq!(response.id, 9);
+    assert!(matches!(response.body, ResponseBody::Status { .. }));
+
+    Client::connect(handle.addr(), "t")
+        .unwrap()
+        .shutdown()
+        .unwrap();
+    handle.join();
+}
+
 #[test]
 fn unknown_request_kinds_echo_the_id() {
     let handle = spawn_server(1 << 16);

@@ -198,6 +198,7 @@ pub struct SimState<'a> {
     pub plan: &'a Schedule,
     world: &'a SimWorld,
     alloc_used: &'a [Allocation],
+    finish: &'a [f64],
 }
 
 impl std::ops::Deref for SimState<'_> {
@@ -215,6 +216,15 @@ impl SimState<'_> {
     /// the running set.
     pub fn alloc_used(&self, j: usize) -> &Allocation {
         &self.alloc_used[j]
+    }
+
+    /// When job `j`'s current attempt ends: its realized finish, or the
+    /// planned death point of an attempt that is doomed to fail. Meaningful
+    /// for running and completed jobs; NaN for a job that never started or
+    /// whose last attempt failed. Look-ahead placement reads it to correct
+    /// the nominal window it claimed for a start to the realized one.
+    pub fn attempt_end(&self, j: usize) -> f64 {
+        self.finish[j]
     }
 }
 
@@ -867,6 +877,7 @@ impl RunCore {
             plan,
             world: &self.world,
             alloc_used: &self.alloc_used,
+            finish: &self.finish,
         }
     }
 

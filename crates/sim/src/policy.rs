@@ -24,6 +24,15 @@
 //! outright. Both changes are behaviour-preserving by construction; the
 //! serve differential suite pins them byte-identical to the pre-index
 //! semantics.
+//!
+//! In [`PlacementMode::LookAhead`] the list policies also keep their
+//! planning timeline across decision points (`LookaheadTimeline`): starts
+//! claim their windows, and completions, failures and capacity changes
+//! repair the one slot set, instead of every pass cloning the engine's
+//! availability and releasing each running job into it. The maintained
+//! timeline holds the same availability function as a fresh rebuild at every
+//! pass (debug-asserted), so look-ahead decisions are unchanged. `AtEvent`
+//! policies carry no timeline.
 
 use crate::engine::{SimError, SimState};
 use crate::trace::TraceEvent;
@@ -56,12 +65,173 @@ fn live_frontier(state: &SimState<'_>) -> Vec<usize> {
 /// processed, so every running job finishes strictly later than `now` and
 /// the first slot stays exactly the engine's availability — look-ahead can
 /// never start a job the engine would reject.
+///
+/// This is the one builder of the timeline: [`LookaheadTimeline`] calls it
+/// when a policy is (re-)initialised and, in debug builds, at every pass as
+/// the oracle its event-maintained copy must equal. A rebuild costs
+/// O(running · slots); the maintained copy replaces it on the per-pass path.
 fn lookahead_timeline(state: &SimState<'_>) -> SlotSet {
     let mut timeline = state.resources.timeline(state.now);
     for r in &state.running {
         timeline.release_from(r.finish.max(state.now), state.alloc_used(r.job));
     }
     timeline
+}
+
+/// The look-ahead timeline of a list policy in [`PlacementMode::LookAhead`],
+/// kept across decision points and repaired by events instead of rebuilt by
+/// [`lookahead_timeline`] at every pass (the OAR shape: one slot set, split
+/// on each claim).
+///
+/// It holds the availability `capacity - Σ alloc` over every running
+/// attempt's window `[start, end)`, from `now` on:
+///
+/// * a pass claims `[now, now + nominal)` for each job it starts and keeps
+///   those windows in `pending`; the engine applies the starts and always
+///   asks the policy again right away, and that call corrects each window
+///   to the attempt's realized end ([`SimState::attempt_end`]) — a no-op
+///   when the attempt runs exactly its nominal time;
+/// * an event batch advances the axis to `now`, gives back the unexpired
+///   `[now, end)` of every attempt that completed (the EPS sliver of grouped
+///   completions) or was killed (faults, outages, the last failure before
+///   abandonment), and shifts every slot by a capacity change's delta.
+///
+/// Free amounts are sums and differences of integers below 2^53, so they are
+/// exact whatever the order of the updates: the maintained set holds the
+/// same availability function as a fresh rebuild, and every window query
+/// answers the same on both. Slot boundaries may differ. Debug builds
+/// assert the equality at every pass, like [`MirroredQueue::absorb`] does
+/// for the ready queue.
+#[derive(Debug, Clone)]
+struct LookaheadTimeline {
+    slots: SlotSet,
+    /// Per-type capacities the slots account for (turns a capacity event
+    /// into a shift).
+    capacities: Vec<u64>,
+    /// End of each running attempt's claimed window, by job (NaN = not
+    /// running). Kept here because the engine forgets the end of an attempt
+    /// that fails.
+    ends: Vec<f64>,
+    /// Starts of the last pass with the nominal end each one claimed,
+    /// corrected to the realized end on the next call.
+    pending: Vec<(usize, f64)>,
+}
+
+impl LookaheadTimeline {
+    /// A timeline for `mode`: built fresh from the state in
+    /// [`PlacementMode::LookAhead`], absent in [`PlacementMode::AtEvent`].
+    fn for_mode(mode: PlacementMode, state: &SimState<'_>) -> Option<Self> {
+        (mode == PlacementMode::LookAhead).then(|| {
+            let mut ends = vec![f64::NAN; state.instance.num_jobs()];
+            for r in &state.running {
+                ends[r.job] = r.finish;
+            }
+            LookaheadTimeline {
+                slots: lookahead_timeline(state),
+                capacities: state.capacities.clone(),
+                ends,
+                pending: Vec::new(),
+            }
+        })
+    }
+
+    /// Corrects the windows of the last pass's starts to the realized ends
+    /// of the attempts the engine started for them.
+    fn settle_starts(&mut self, state: &SimState<'_>) {
+        for (j, nominal_end) in self.pending.drain(..) {
+            let end = state.attempt_end(j);
+            debug_assert!(!end.is_nan(), "started job {j} has no attempt end");
+            let alloc = state.alloc_used(j);
+            if end < nominal_end {
+                self.slots.release(end, nominal_end, alloc);
+            } else {
+                self.slots.claim(nominal_end, end, alloc);
+            }
+            self.ends[j] = end;
+        }
+    }
+
+    /// Folds one event batch in: the axis moves to `now`, ended attempts
+    /// give back what is left of their windows, capacity changes shift
+    /// every slot.
+    fn absorb(&mut self, state: &SimState<'_>, batch: &[TraceEvent]) {
+        debug_assert!(self.pending.is_empty(), "starts left unsettled");
+        self.slots.advance_to(state.now);
+        for e in batch {
+            match e {
+                TraceEvent::JobCompleted { job, .. } => self.end_attempt(state, *job),
+                // Attempt 0 marks a cascade-abandoned job that never ran.
+                TraceEvent::JobFailed { job, attempt, .. } if *attempt >= 1 => {
+                    self.end_attempt(state, *job)
+                }
+                TraceEvent::CapacityChanged {
+                    resource, capacity, ..
+                } => {
+                    let old = std::mem::replace(&mut self.capacities[*resource], *capacity);
+                    self.slots
+                        .shift_all(*resource, *capacity as f64 - old as f64);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Releases the unexpired rest `[now, end)` of job `j`'s attempt.
+    fn end_attempt(&mut self, state: &SimState<'_>, j: usize) {
+        let end = std::mem::replace(&mut self.ends[j], f64::NAN);
+        debug_assert!(!end.is_nan(), "ended job {j} held no window");
+        self.slots.release(state.now, end, state.alloc_used(j));
+    }
+
+    /// One look-ahead placement pass over the mirrored ready queue; the
+    /// starts' nominal windows stay claimed until [`Self::settle_starts`].
+    fn place(
+        &mut self,
+        scheduler: &ListScheduler,
+        queue: &mut ReadyQueue,
+        keys: &[f64],
+        decision: &[Allocation],
+        times: &[f64],
+        state: &SimState<'_>,
+    ) -> Vec<usize> {
+        debug_assert!(
+            self.slots.same_availability(&lookahead_timeline(state)),
+            "look-ahead timeline diverged from a fresh rebuild at t={}",
+            state.now
+        );
+        let now = self.slots.begin();
+        let started =
+            scheduler.schedule_ready_lookahead(queue, keys, decision, times, &mut self.slots);
+        // `now + times[j]` is the exact end the pass claimed.
+        self.pending
+            .extend(started.iter().map(|&j| (j, now + times[j])));
+        started
+    }
+}
+
+/// One placement pass of a list policy over its mirrored ready queue: greedy
+/// against the availability of the moment ([`PlacementMode::AtEvent`]), or
+/// EASY-style against the maintained look-ahead timeline.
+fn place_ready(
+    scheduler: &ListScheduler,
+    queue: &mut ReadyQueue,
+    keys: &[f64],
+    decision: &[Allocation],
+    times: &[f64],
+    timeline: Option<&mut LookaheadTimeline>,
+    state: &SimState<'_>,
+) -> Vec<(usize, Allocation)> {
+    let started = match timeline {
+        None => {
+            let mut resources = state.resources.clone();
+            scheduler.schedule_ready(queue, keys, decision, &mut resources)
+        }
+        Some(timeline) => timeline.place(scheduler, queue, keys, decision, times, state),
+    };
+    started
+        .into_iter()
+        .map(|j| (j, decision[j].clone()))
+        .collect()
 }
 
 /// A scheduling policy driven by the engine at every decision point.
@@ -332,6 +502,8 @@ pub struct ReactiveListPolicy {
     /// frontier restriction).
     times: Vec<f64>,
     mirror: MirroredQueue,
+    /// The maintained look-ahead timeline (`None` in `AtEvent` mode).
+    timeline: Option<LookaheadTimeline>,
     settled: bool,
     /// The frontier the keys were last derived over — `on_plan_update` skips
     /// the recompute when the frontier and its plan allocations are
@@ -349,6 +521,7 @@ impl ReactiveListPolicy {
             keys: Vec::new(),
             times: Vec::new(),
             mirror: MirroredQueue::default(),
+            timeline: None,
             settled: false,
             last_live: None,
         }
@@ -407,9 +580,16 @@ impl ReactiveListPolicy {
                 self.times[old] = t;
             }
         }
-        self.mirror.rebuild(state, live, &self.keys, &self.decision);
-        self.settled = false;
+        self.reset_placement(state, live);
         Ok(())
+    }
+
+    /// Rebuilds the ready-queue mirror and the look-ahead timeline from the
+    /// state and clears the placement watermark.
+    fn reset_placement(&mut self, state: &SimState<'_>, live: &[usize]) {
+        self.mirror.rebuild(state, live, &self.keys, &self.decision);
+        self.timeline = LookaheadTimeline::for_mode(self.mode, state);
+        self.settled = false;
     }
 }
 
@@ -453,8 +633,7 @@ impl Policy for ReactiveListPolicy {
                     );
                 }
             }
-            self.mirror.rebuild(state, live, &self.keys, &self.decision);
-            self.settled = false;
+            self.reset_placement(state, live);
             return Ok(());
         }
         self.init_over(state, live)?;
@@ -469,39 +648,29 @@ impl Policy for ReactiveListPolicy {
     ) -> Result<Vec<TraceEvent>, SimError> {
         self.settled = false;
         self.mirror.absorb(state, batch, &self.keys, &self.decision);
+        if let Some(timeline) = &mut self.timeline {
+            timeline.absorb(state, batch);
+        }
         Ok(vec![])
     }
 
     fn select_starts(&mut self, state: &SimState<'_>) -> Vec<(usize, Allocation)> {
+        if let Some(timeline) = &mut self.timeline {
+            timeline.settle_starts(state);
+        }
         if self.settled {
             return Vec::new();
         }
-        let started = match self.mode {
-            PlacementMode::AtEvent => {
-                let mut resources = state.resources.clone();
-                self.scheduler.schedule_ready(
-                    &mut self.mirror.queue,
-                    &self.keys,
-                    &self.decision,
-                    &mut resources,
-                )
-            }
-            PlacementMode::LookAhead => {
-                let mut timeline = lookahead_timeline(state);
-                self.scheduler.schedule_ready_lookahead(
-                    &mut self.mirror.queue,
-                    &self.keys,
-                    &self.decision,
-                    &self.times,
-                    &mut timeline,
-                )
-            }
-        };
         self.settled = true;
-        started
-            .into_iter()
-            .map(|j| (j, self.decision[j].clone()))
-            .collect()
+        place_ready(
+            &self.scheduler,
+            &mut self.mirror.queue,
+            &self.keys,
+            &self.decision,
+            &self.times,
+            self.timeline.as_mut(),
+            state,
+        )
     }
 }
 
@@ -531,6 +700,8 @@ pub struct FullReschedulePolicy {
     /// Execution times under `decision` — look-ahead window durations.
     times: Vec<f64>,
     mirror: MirroredQueue,
+    /// The maintained look-ahead timeline (`None` in `AtEvent` mode).
+    timeline: Option<LookaheadTimeline>,
     settled: bool,
     min_interval: f64,
     last_reschedule: f64,
@@ -557,6 +728,7 @@ impl FullReschedulePolicy {
             keys: Vec::new(),
             times: Vec::new(),
             mirror: MirroredQueue::default(),
+            timeline: None,
             settled: false,
             min_interval: 0.0,
             last_reschedule: f64::NEG_INFINITY,
@@ -602,6 +774,7 @@ impl FullReschedulePolicy {
         self.min_interval = self.min_interval_frac * state.plan.makespan.max(0.0);
         self.last_reschedule = f64::NEG_INFINITY;
         self.mirror.rebuild(state, live, &self.keys, &self.decision);
+        self.timeline = LookaheadTimeline::for_mode(self.mode, state);
         self.settled = false;
     }
 
@@ -770,6 +943,9 @@ impl Policy for FullReschedulePolicy {
             }
         }
         self.mirror.absorb(state, batch, &self.keys, &self.decision);
+        if let Some(timeline) = &mut self.timeline {
+            timeline.absorb(state, batch);
+        }
         let Some(trigger) = self.trigger(batch) else {
             return Ok(vec![]);
         };
@@ -786,34 +962,21 @@ impl Policy for FullReschedulePolicy {
     }
 
     fn select_starts(&mut self, state: &SimState<'_>) -> Vec<(usize, Allocation)> {
+        if let Some(timeline) = &mut self.timeline {
+            timeline.settle_starts(state);
+        }
         if self.settled {
             return Vec::new();
         }
-        let started = match self.mode {
-            PlacementMode::AtEvent => {
-                let mut resources = state.resources.clone();
-                self.scheduler.schedule_ready(
-                    &mut self.mirror.queue,
-                    &self.keys,
-                    &self.decision,
-                    &mut resources,
-                )
-            }
-            PlacementMode::LookAhead => {
-                let mut timeline = lookahead_timeline(state);
-                self.scheduler.schedule_ready_lookahead(
-                    &mut self.mirror.queue,
-                    &self.keys,
-                    &self.decision,
-                    &self.times,
-                    &mut timeline,
-                )
-            }
-        };
         self.settled = true;
-        started
-            .into_iter()
-            .map(|j| (j, self.decision[j].clone()))
-            .collect()
+        place_ready(
+            &self.scheduler,
+            &mut self.mirror.queue,
+            &self.keys,
+            &self.decision,
+            &self.times,
+            self.timeline.as_mut(),
+            state,
+        )
     }
 }
